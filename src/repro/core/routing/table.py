@@ -403,11 +403,8 @@ class RouteArrays:
         """Coerce every present array to its canonical dtype and
         C-contiguous layout, in place, and return ``self``.
 
-        Consumers that hand these arrays to typed kernels — the batch
-        backend's program build and the jit engine's nopython step,
-        which binds concrete (dtype, layout) signatures at compile time
-        — rely on this so a table built through any code path produces
-        the same machine types.  Arrays already canonical are kept
+        The batch backend's program build relies on this so a table
+        built through any code path produces the same machine types.  Arrays already canonical are kept
         as-is (no copy)."""
         import numpy as np
 

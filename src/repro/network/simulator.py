@@ -123,8 +123,13 @@ class Simulator:
     case pass ``None``) — driven by :meth:`run_workload`.
 
     Args:
-        kernel: ``"event"`` or ``"polling"``; ``None`` (default) reads
-            ``$REPRO_KERNEL`` and falls back to the event kernel.
+        kernel: ``"event"``, ``"polling"`` or ``"batch"`` (see
+            :data:`KERNELS`); ``None`` (default) reads ``$REPRO_KERNEL``
+            and falls back to the event kernel.  A ``"batch"``
+            simulator runs only the batched measurements
+            (:meth:`run_open_loop_batch`, :meth:`run_open_loop_grid`,
+            :meth:`measure_saturation_throughput_batch` and their
+            single-run delegates); it has no per-cycle :meth:`step`.
         profile: enable per-phase wall timers (see
             :mod:`repro.profiling`); ``None`` (default) reads
             ``$REPRO_PROFILE_PHASES``.
@@ -175,6 +180,24 @@ class Simulator:
         self.allocator = make_allocator(algorithm.sequential)
         self.kernel = resolve_kernel(kernel)
         self._event_driven = self.kernel == "event"
+        # This kernel's four per-cycle phases, in execution order
+        # (repro.profiling.PHASES): deliver(now), inject(process, now),
+        # route_switch(now), wire(now).  The untimed and the timed step
+        # both drive exactly these callables.
+        if self._event_driven:
+            self._phase_fns = (
+                self._deliver_events,
+                self._inject_event,
+                self._route_switch_events,
+                self._wire_events,
+            )
+        else:
+            self._phase_fns = (
+                self._deliver,
+                self._inject,
+                self._route_switch_polling,
+                self._wire_polling,
+            )
         self._profile = PhaseProfile() if profiling_enabled(profile) else None
 
         seed = self.config.seed
@@ -781,24 +804,61 @@ class Simulator:
     def _select_step(self):
         """The per-cycle step function for this kernel/profile combo.
         Run loops hoist this out of their cycle loop."""
-        if self._event_driven:
-            if self._profile is not None:
-                return self._step_event_profiled
-            return self._step_event
+        if self.kernel == "batch":
+            raise NotImplementedError(
+                "kernel='batch' has no per-cycle step: it advances whole "
+                "batches of runs at once (run_open_loop_batch / "
+                "run_open_loop_grid); build the simulator with "
+                "kernel='event' to step it cycle by cycle"
+            )
         if self._profile is not None:
-            return self._step_polling_profiled
-        return self._step_polling
+            return self._step_profiled
+        return self._step
 
-    def _step_polling(self, process: InjectionProcess) -> None:
-        """The original kernel: every engine is walked through every
-        phase every cycle, whether or not it has work."""
+    def _step(self, process: InjectionProcess) -> None:
         now = self.now
+        deliver, inject, route_switch, wire = self._phase_fns
+        deliver(now)
+        inject(process, now)
+        route_switch(now)
+        wire(now)
+        for tracer in self._tracers:
+            tracer.on_cycle(now)
+        self.now = now + 1
+
+    def _step_profiled(self, process: InjectionProcess) -> None:
+        """:meth:`_step` with a ``perf_counter`` fence around each
+        phase.  Both drive the same phase callables, so profiling
+        cannot change what a cycle does (``tests/test_profiling.py``
+        asserts bit-identical results)."""
+        seconds = self._profile.seconds
+        perf = time.perf_counter
+        now = self.now
+        deliver, inject, route_switch, wire = self._phase_fns
+        t0 = perf()
+        deliver(now)
+        t1 = perf()
+        inject(process, now)
+        t2 = perf()
+        route_switch(now)
+        t3 = perf()
+        wire(now)
+        t4 = perf()
+        seconds["deliver"] += t1 - t0
+        seconds["inject"] += t2 - t1
+        seconds["route_switch"] += t3 - t2
+        seconds["wire"] += t4 - t3
+        for tracer in self._tracers:
+            tracer.on_cycle(now)
+        self.now = now + 1
+
+    def _route_switch_polling(self, now: int) -> None:
+        """The original kernel: every engine is walked through every
+        phase every cycle, whether or not it has work.  Switch
+        speedup: repeat routing + switch sub-iterations until nothing
+        moves (or the configured speedup bound is reached)."""
         engines = self.engines
         num_engines = len(engines)
-        self._deliver(now)
-        self._inject(process, now)
-        # Switch speedup: repeat routing + switch sub-iterations until
-        # nothing moves (or the configured speedup bound is reached).
         speedup = self.config.speedup
         iteration = 0
         while True:
@@ -812,14 +872,14 @@ class Simulator:
             iteration += 1
             if not moved or (speedup is not None and iteration >= speedup):
                 break
+
+    def _wire_polling(self, now: int) -> None:
+        engines = self.engines
         for engine in engines:
             engine.wire_phase(now)
-        self._phase_calls += num_engines
-        for tracer in self._tracers:
-            tracer.on_cycle(now)
-        self.now = now + 1
+        self._phase_calls += len(engines)
 
-    def _step_event(self, process: InjectionProcess) -> None:
+    def _route_switch_events(self, now: int) -> None:
         """The active-set kernel: only routers that can possibly do
         something are visited, in the same global order (ascending
         router id per sub-iteration) as the polling kernel, so every
@@ -833,134 +893,41 @@ class Simulator:
         phase), so each sweep narrows to the engines that moved in the
         previous one.
         """
-        now = self.now
-        self._deliver_events(now)
-        self._inject_event(process, now)
         busy = self._busy_engines
-        if busy:
-            if len(busy) == 1:
-                movers: List[RouterEngine] = list(busy.values())
-            else:
-                movers = [busy[r] for r in sorted(busy)]
-            speedup = self.config.speedup
-            phase_calls = 0
-            iteration = 0
-            while True:
-                # Only engines reporting possible follow-up work (2)
-                # are swept again; the polling kernel would route and
-                # switch nothing at any engine reporting 0 or 1.
-                next_movers = [e for e in movers if e.route_switch(now) == 2]
-                phase_calls += len(movers)
-                iteration += 1
-                if not next_movers or (
-                    speedup is not None and iteration >= speedup
-                ):
-                    break
-                movers = next_movers
-            self._phase_calls += phase_calls
-        wire = self._wire_engines
-        if wire:
-            if len(wire) == 1:
-                targets = list(wire.values())
-            else:
-                targets = [wire[r] for r in sorted(wire)]
-            for engine in targets:
-                engine.wire_event(now)
-            self._phase_calls += len(targets)
-        for tracer in self._tracers:
-            tracer.on_cycle(now)
-        self.now = now + 1
-
-    def _step_event_profiled(self, process: InjectionProcess) -> None:
-        """Timed twin of :meth:`_step_event`: identical work in
-        identical order, with a ``perf_counter`` fence around each
-        phase.  Any change to :meth:`_step_event` must be mirrored here
-        (``tests/test_profiling.py`` asserts the two produce
-        bit-identical results)."""
-        seconds = self._profile.seconds
-        perf = time.perf_counter
-        now = self.now
-        t0 = perf()
-        self._deliver_events(now)
-        t1 = perf()
-        self._inject_event(process, now)
-        t2 = perf()
-        busy = self._busy_engines
-        if busy:
-            if len(busy) == 1:
-                movers: List[RouterEngine] = list(busy.values())
-            else:
-                movers = [busy[r] for r in sorted(busy)]
-            speedup = self.config.speedup
-            phase_calls = 0
-            iteration = 0
-            while True:
-                next_movers = [e for e in movers if e.route_switch(now) == 2]
-                phase_calls += len(movers)
-                iteration += 1
-                if not next_movers or (
-                    speedup is not None and iteration >= speedup
-                ):
-                    break
-                movers = next_movers
-            self._phase_calls += phase_calls
-        t3 = perf()
-        wire = self._wire_engines
-        if wire:
-            if len(wire) == 1:
-                targets = list(wire.values())
-            else:
-                targets = [wire[r] for r in sorted(wire)]
-            for engine in targets:
-                engine.wire_event(now)
-            self._phase_calls += len(targets)
-        t4 = perf()
-        seconds["deliver"] += t1 - t0
-        seconds["inject"] += t2 - t1
-        seconds["route_switch"] += t3 - t2
-        seconds["wire"] += t4 - t3
-        for tracer in self._tracers:
-            tracer.on_cycle(now)
-        self.now = now + 1
-
-    def _step_polling_profiled(self, process: InjectionProcess) -> None:
-        """Timed twin of :meth:`_step_polling` (same mirroring contract
-        as :meth:`_step_event_profiled`)."""
-        seconds = self._profile.seconds
-        perf = time.perf_counter
-        now = self.now
-        engines = self.engines
-        num_engines = len(engines)
-        t0 = perf()
-        self._deliver(now)
-        t1 = perf()
-        self._inject(process, now)
-        t2 = perf()
+        if not busy:
+            return
+        if len(busy) == 1:
+            movers: List[RouterEngine] = list(busy.values())
+        else:
+            movers = [busy[r] for r in sorted(busy)]
         speedup = self.config.speedup
+        phase_calls = 0
         iteration = 0
         while True:
-            for engine in engines:
-                engine.routing_phase(now)
-            moved = False
-            for engine in engines:
-                if engine.switch_subiter(now):
-                    moved = True
-            self._phase_calls += 2 * num_engines
+            # Only engines reporting possible follow-up work (2) are
+            # swept again; the polling kernel would route and switch
+            # nothing at any engine reporting 0 or 1.
+            next_movers = [e for e in movers if e.route_switch(now) == 2]
+            phase_calls += len(movers)
             iteration += 1
-            if not moved or (speedup is not None and iteration >= speedup):
+            if not next_movers or (
+                speedup is not None and iteration >= speedup
+            ):
                 break
-        t3 = perf()
-        for engine in engines:
-            engine.wire_phase(now)
-        self._phase_calls += num_engines
-        t4 = perf()
-        seconds["deliver"] += t1 - t0
-        seconds["inject"] += t2 - t1
-        seconds["route_switch"] += t3 - t2
-        seconds["wire"] += t4 - t3
-        for tracer in self._tracers:
-            tracer.on_cycle(now)
-        self.now = now + 1
+            movers = next_movers
+        self._phase_calls += phase_calls
+
+    def _wire_events(self, now: int) -> None:
+        wire = self._wire_engines
+        if not wire:
+            return
+        if len(wire) == 1:
+            targets = list(wire.values())
+        else:
+            targets = [wire[r] for r in sorted(wire)]
+        for engine in targets:
+            engine.wire_event(now)
+        self._phase_calls += len(targets)
 
     # ------------------------------------------------------------------
     # Idle skipping (event kernel only)
@@ -1392,7 +1359,7 @@ class Simulator:
     # ------------------------------------------------------------------
     # Batched runs (kernel="batch")
     # ------------------------------------------------------------------
-    def _batch_backend(self, engine: Optional[str] = None):
+    def _batch_backend(self):
         self._require_pattern("run_open_loop_batch")
         if self.kernel != "batch":
             raise ValueError(
@@ -1403,8 +1370,7 @@ class Simulator:
         from .batch import BatchBackend
 
         return BatchBackend(
-            self.topology, self.algorithm, self.pattern, self.config,
-            engine=engine,
+            self.topology, self.algorithm, self.pattern, self.config
         )
 
     def _batch_seeds(self, replicas, seeds) -> Tuple[int, ...]:
@@ -1424,7 +1390,6 @@ class Simulator:
         warmup: int = 1000,
         measure: int = 1000,
         drain_max: int = 100_000,
-        engine: Optional[str] = None,
     ):
         """Batched :meth:`run_open_loop`: one measurement per replica
         seed, advanced in lockstep by the vectorized backend.
@@ -1432,14 +1397,10 @@ class Simulator:
         Pass either ``replicas`` (seeds come from
         :func:`repro.network.config.replica_seeds`, so replica 0 uses
         this config's own seed) or an explicit ``seeds`` tuple.
-        ``engine`` picks the batch execution engine (``"numpy"`` or
-        ``"jit"``; default ``$REPRO_BATCH_ENGINE``, else numpy) — the
-        engines are bit-identical, so the choice never affects
-        results.  Returns a
-        :class:`repro.network.batch.BatchRunResult`.
+        Returns a :class:`repro.network.batch.BatchRunResult`.
         """
         run_seeds = self._batch_seeds(replicas, seeds)
-        return self._batch_backend(engine).run_open_loop(
+        return self._batch_backend().run_open_loop(
             load, run_seeds, warmup=warmup, measure=measure,
             drain_max=drain_max,
         )
@@ -1452,7 +1413,6 @@ class Simulator:
         warmup: int = 1000,
         measure: int = 1000,
         drain_max: int = 100_000,
-        engine: Optional[str] = None,
     ):
         """Whole-curve :meth:`run_open_loop_batch`: every ``(load,
         seed)`` pair advances in lockstep as one array program, and the
@@ -1460,10 +1420,9 @@ class Simulator:
         load — element ``i`` bit-identical to
         ``run_open_loop_batch(loads[i], seeds=...)`` (per-run purity),
         so per-point cache keys and downstream consumers are
-        unaffected by the grid batching.  ``engine`` selects the batch
-        execution engine exactly as in :meth:`run_open_loop_batch`."""
+        unaffected by the grid batching."""
         run_seeds = self._batch_seeds(replicas, seeds)
-        return self._batch_backend(engine).run_load_grid(
+        return self._batch_backend().run_load_grid(
             loads, run_seeds, warmup=warmup, measure=measure,
             drain_max=drain_max,
         )
@@ -1474,11 +1433,10 @@ class Simulator:
         seeds: Optional[Tuple[int, ...]] = None,
         warmup: int = 1000,
         measure: int = 1000,
-        engine: Optional[str] = None,
     ) -> List[float]:
         """Batched :meth:`measure_saturation_throughput`: one
         accepted-throughput value per replica seed."""
         run_seeds = self._batch_seeds(replicas, seeds)
-        return self._batch_backend(engine).measure_saturation(
+        return self._batch_backend().measure_saturation(
             run_seeds, warmup=warmup, measure=measure
         )

@@ -1,10 +1,11 @@
 """Phase-level profiling for the simulation kernels.
 
 The simulator's per-cycle work falls into four phases — channel/credit
-delivery, injection, fused routing+switch, and the wire phase.  When
-profiling is enabled, the kernel runs a timed twin of its step function
-that fences each phase with ``time.perf_counter`` and accumulates the
-elapsed time into a :class:`PhaseProfile`; the totals are folded into
+delivery, injection, fused routing+switch, and the wire phase — each
+one callable per exact kernel.  When profiling is enabled, the kernel
+runs a timed step that calls the same four phase callables as the
+untimed one, fences each with ``time.perf_counter``, and accumulates
+the elapsed time into a :class:`PhaseProfile`; the totals are folded into
 the run's :class:`~repro.network.stats.KernelStats` (``phase_seconds``)
 so they survive the sweep runner's process boundary and aggregate
 across points.

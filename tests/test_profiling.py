@@ -60,8 +60,8 @@ class TestEnablement:
 
 class TestBitIdentical:
     """Profiling fences the same work with timers; it must not perturb
-    a single observable (``_step_event_profiled`` exists solely under
-    this contract)."""
+    a single observable (``Simulator._step_profiled`` drives the same
+    phase callables as the untimed step under this contract)."""
 
     # The vectorized batch kernel has no profiled step variant; its
     # observables are covered statistically in tests/test_batch_kernel.py.
