@@ -5,9 +5,10 @@ The batch kernel is validated *statistically* against the event kernel
 cell runs one short batched measurement and hashes every compared field
 of the result — every per-run ``OpenLoopResult`` (latency summaries,
 throughput, hops, windows) plus the conservation tuples — into a
-SHA-256 fingerprint, with floats encoded exactly via ``float.hex``.  A
-refactor of the cycle loop, the predraw pass or the routing programs
-must leave every fingerprint unchanged.
+SHA-256 fingerprint (``tests/fingerprint.py``, shared with the event
+kernel's ``tests/test_kernel_fingerprint.py``), with floats encoded
+exactly via ``float.hex``.  A refactor of the cycle loop, the predraw
+pass or the routing programs must leave every fingerprint unchanged.
 
 The fingerprints depend on numpy's ``Generator`` streams, so the numpy
 version they were generated with is recorded below.  A mismatch under
@@ -18,9 +19,8 @@ versions.  To regenerate after an intentional semantic change, run
 its output over ``FINGERPRINTS``/``NUMPY_VERSION``.
 """
 
-import dataclasses
-import hashlib
-import numbers
+import os
+import sys
 
 import pytest
 
@@ -38,6 +38,10 @@ from repro.network import SimulationConfig, Simulator, replica_seeds
 from repro.topologies import Butterfly, FoldedClos
 from repro.topologies.routing import DestinationTag, FoldedClosAdaptive
 from repro.traffic import UniformRandom
+
+if not __package__:  # run as a script: make the ``tests`` package importable
+    sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+from tests.fingerprint import fingerprint
 
 #: Short windows: the fingerprints are exact, so there is no noise to
 #: average away — a few hundred cycles exercise every code path
@@ -94,43 +98,6 @@ FINGERPRINTS = {
     "saturation/ugal-fb":
         "b74f1449a3debf5da6d8546b2cee683950ce6b9ce071c6b99da7574a5878d435",
 }
-
-
-def _encode(value, out):
-    """Append a canonical, exact text encoding of ``value`` to ``out``:
-    dataclasses by their compared fields, floats via ``float.hex``."""
-    if dataclasses.is_dataclass(value):
-        out.append(type(value).__name__ + "(")
-        for f in dataclasses.fields(value):
-            if f.compare:
-                out.append(f.name + "=")
-                _encode(getattr(value, f.name), out)
-                out.append(",")
-        out.append(")")
-    elif isinstance(value, (list, tuple)):
-        out.append("[")
-        for item in value:
-            _encode(item, out)
-            out.append(",")
-        out.append("]")
-    elif value is None:
-        out.append("N")
-    elif isinstance(value, (bool, np.bool_)):
-        out.append("T" if value else "F")
-    elif isinstance(value, numbers.Integral):
-        out.append("i%d" % int(value))
-    elif isinstance(value, numbers.Real):
-        out.append("f" + float(value).hex())
-    elif isinstance(value, str):
-        out.append(repr(value))
-    else:
-        raise TypeError(f"cannot fingerprint {type(value).__name__}")
-
-
-def fingerprint(value) -> str:
-    out = []
-    _encode(value, out)
-    return hashlib.sha256("".join(out).encode()).hexdigest()
 
 
 def _sim(make_topo, algorithm_cls):
