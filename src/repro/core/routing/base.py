@@ -11,6 +11,13 @@ Adaptive algorithms estimate output queue lengths through
 credit-count view of downstream occupancy described in Section 3.1 of
 the paper, plus the pending commitments governed by the greedy or
 sequential allocator.
+
+The flattened-butterfly algorithms (and destination-tag routing on the
+conventional butterfly) look up everything about a decision that is a
+pure function of the topology — minimal-candidate sets,
+dimension-order and destination-tag hops, hop counts — in the shared
+per-topology route table (:mod:`repro.core.routing.table`); only the
+occupancy comparison and its route-RNG tie-breaks run per decision.
 """
 
 from __future__ import annotations
@@ -43,20 +50,14 @@ class RoutingAlgorithm(abc.ABC):
     num_vcs: int = 1
     sequential: bool = False
     fault_aware: bool = False
-    #: Whether the event kernel may resolve a head that is already at
-    #: its destination router straight to the ejection port ``(port,
-    #: vc=0)`` without consulting :meth:`route_event`.  True for every
+    #: Whether the router may resolve a head that is already at its
+    #: destination router straight to the ejection port ``(port,
+    #: vc=0)`` without consulting :meth:`route`.  True for every
     #: algorithm whose first action on such a head is exactly
     #: ``return engine.ejection_port(packet.dst), 0`` with no RNG draw
     #: and no packet mutation.  Algorithms that may *pass through* the
     #: destination router (Valiant-phase traffic) set this False.
     inline_eject: bool = True
-    #: Whether the algorithm participates in the shared, topology-keyed
-    #: route-table layer (``repro.core.routing.table``).  The table only
-    #: memoizes pure functions of the topology, so it never changes a
-    #: decision; set False (or ``REPRO_ROUTE_TABLE=0``) to force the
-    #: uncached reference paths.
-    use_route_table: bool = True
 
     def attach(self, simulator: "Simulator") -> None:
         """Bind the algorithm to a simulator (topology, RNG).
@@ -93,19 +94,6 @@ class RoutingAlgorithm(abc.ABC):
         pair undeliverable).
         """
         return True
-
-    def route_event(self, engine: "RouterEngine", packet: "Packet") -> Tuple[int, int]:
-        """Routing decision used by the event kernel's fused
-        route-and-switch phase.
-
-        Defaults to :meth:`route`.  Algorithms may override with a
-        faster implementation (e.g. memoized minimal-route candidate
-        sets), but it must be *bit-identical* to :meth:`route` —
-        including the number and order of draws it takes from the
-        shared route RNG — because the polling cross-check kernel keeps
-        calling :meth:`route` and the two kernels must agree exactly.
-        """
-        return self.route(engine, packet)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} vcs={self.num_vcs}>"

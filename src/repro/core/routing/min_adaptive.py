@@ -17,7 +17,7 @@ from typing import List, Tuple
 from ...topologies.hyperx import HyperX
 from ...topologies.base import Channel
 from .base import RoutingAlgorithm
-from .table import maybe_route_table
+from .table import shared_route_table
 
 
 def pick_min_cost(candidates, rng: random.Random):
@@ -58,14 +58,10 @@ class MinimalAdaptive(RoutingAlgorithm):
             raise TypeError(f"{self.name} requires a HyperX-family topology")
         self.num_vcs = self.topology.num_dims
         # Minimal-route candidates and hop counts are pure functions of
-        # the topology, so they are computed once per router pair; only
-        # the occupancy comparison (and its RNG tie-breaks) runs per
-        # routing decision.  The entries normally live in the shared
-        # per-topology RouteTable; with the table layer disabled they
-        # fall back to a private cache of the same shape.
-        self._route_table = maybe_route_table(self, self.topology)
-        # (current, dst_router) -> (vc, ((out_port, channel), ...)).
-        self._minimal_cache = {}
+        # the topology, so they come from the shared per-topology route
+        # table; only the occupancy comparison (and its RNG tie-breaks)
+        # runs per routing decision.
+        self._route_table = shared_route_table(self.topology)
 
     def productive_channels(self, current: int, dst_router: int) -> List[Channel]:
         """All channels that are part of a minimal route from
@@ -77,53 +73,17 @@ class MinimalAdaptive(RoutingAlgorithm):
             channels.extend(topo.channels_between(current, nbr))
         return channels
 
-    def _minimal_candidates(self, engine, current: int, dst_router: int):
-        """Cached ``(vc, ((out_port, channel), ...))`` for a minimal
-        hop out of ``current`` toward ``dst_router``."""
-        table = self._route_table
-        if table is not None:
-            return table.minimal(current, dst_router)
-        key = (current, dst_router)
-        entry = self._minimal_cache.get(key)
-        if entry is None:
-            hops_remaining = self.topology.min_router_hops(current, dst_router)
-            entry = (
-                hops_remaining - 1,
-                tuple(
-                    (engine.port_for_channel(ch), ch)
-                    for ch in self.productive_channels(current, dst_router)
-                ),
-            )
-            self._minimal_cache[key] = entry
-        return entry
-
     def route(self, engine, packet) -> Tuple[int, int]:
+        """The least-occupied productive channel, on VC
+        ``hops_remaining - 1``.
+
+        Exact occupancy ties are broken uniformly at random from the
+        shared route RNG, with the draws of :func:`pick_min_cost` (none
+        for a lone candidate)."""
         current = engine.router_id
         if current == packet.dst_router:
             return engine.ejection_port(packet.dst), 0
-        hops_remaining = self.topology.min_router_hops(current, packet.dst_router)
-        vc = hops_remaining - 1
-        channel = pick_min_cost(
-            (
-                (engine.channel_occupancy(ch), 0, ch)
-                for ch in self.productive_channels(current, packet.dst_router)
-            ),
-            self.rng,
-        )
-        return engine.port_for_channel(channel), vc
-
-    def route_event(self, engine, packet) -> Tuple[int, int]:
-        """Same decision as :meth:`route`, with the per-pair candidate
-        set memoized.
-
-        The costs compared, their order, and the tie-break draws from
-        the shared route RNG are identical to :meth:`route`
-        (``pick_min_cost`` draws nothing for a lone candidate, so the
-        single-candidate fast path is RNG-transparent)."""
-        current = engine.router_id
-        if current == packet.dst_router:
-            return engine.ejection_port(packet.dst), 0
-        vc, candidates = self._minimal_candidates(engine, current, packet.dst_router)
+        vc, candidates = self._route_table.minimal(current, packet.dst_router)
         if len(candidates) == 1:
             return candidates[0][0], vc
         # Inline of pick_min_cost over (occ, 0, port) triples: the

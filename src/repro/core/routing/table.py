@@ -2,13 +2,14 @@
 
 Most of the routing work on the paper's topologies is a pure function
 of ``(topology, current router, target)``: MIN AD's minimal-candidate
-set, the unique dimension-order hop used by VAL and UGAL's non-minimal
-phase, the destination-tag hop of the conventional butterfly.  PR 2
-memoized the MIN AD candidates per *algorithm instance*; this module
-lifts that memoization into a :class:`RouteTable` shared by every
-algorithm instance bound to the same topology object, so a sweep that
-re-runs one topology at many load points pays each precomputation once
-and every per-hop oblivious lookup becomes a dictionary hit.
+set, the unique dimension-order hop used by DOR, VAL and UGAL's
+non-minimal phase, the destination-tag hop of the conventional
+butterfly.  A :class:`RouteTable` memoizes these lookups once per
+topology object and is shared by every algorithm instance bound to it,
+so a sweep that re-runs one topology at many load points pays each
+precomputation once and every per-hop oblivious lookup becomes a
+dictionary hit.  The routing algorithms route through the table
+directly; ``tests/test_kernel_fingerprint.py`` pins their decisions.
 
 Fault-aware wrappers never rebuild a table: they overlay caches that
 *mask* the healthy entries by the permanent fault set (see
@@ -23,24 +24,15 @@ the first simulator that binds it and *verifies* every later simulator
 against that map (:meth:`RouteTable.bind`), failing loudly rather than
 ever returning a port that means something different to the engine
 asking.
-
-The layer can be disabled globally with ``REPRO_ROUTE_TABLE=0`` (the
-equivalence tests run both settings and assert bit-identical results)
-or per algorithm class via ``RoutingAlgorithm.use_route_table``.
 """
 
 from __future__ import annotations
 
-import os
 import weakref
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from .dor import dor_next_channel
-
-#: Environment toggle: set to ``"0"`` to disable shared route tables
-#: (every algorithm falls back to its uncached reference path).
-ROUTE_TABLE_ENV = "REPRO_ROUTE_TABLE"
 
 #: One table per live topology object; entries die with the topology.
 _SHARED: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
@@ -65,12 +57,6 @@ def reset_build_count() -> None:
     _builds = 0
 
 
-def route_tables_enabled() -> bool:
-    """Whether the shared route-table layer is switched on (checked at
-    algorithm attach time, so tests can toggle per simulator)."""
-    return os.environ.get(ROUTE_TABLE_ENV, "1") != "0"
-
-
 def shared_route_table(topology) -> "RouteTable":
     """The process-wide :class:`RouteTable` for ``topology`` (created
     on first request)."""
@@ -87,8 +73,8 @@ class RouteTable:
 
     All entries are pure functions of the topology (and, for ports, of
     the deterministic engine construction), so sharing them cannot
-    change any routing decision: the table returns exactly what the
-    uncached code would recompute, in the same candidate order.
+    change any routing decision: every entry is what the topology
+    would yield if recomputed, in the same candidate order.
     """
 
     __slots__ = ("topology", "_port_of", "_minimal", "_dor", "_dtag", "_hops", "__weakref__")
@@ -415,12 +401,3 @@ class RouteArrays:
                     self, name, np.ascontiguousarray(arr, dtype=np.dtype(dtype))
                 )
         return self
-
-
-def maybe_route_table(algorithm, topology) -> Optional[RouteTable]:
-    """The shared table for ``topology``, or None when the layer is
-    disabled globally (``REPRO_ROUTE_TABLE=0``) or for this algorithm
-    class (``use_route_table = False``)."""
-    if not algorithm.use_route_table or not route_tables_enabled():
-        return None
-    return shared_route_table(topology)

@@ -25,9 +25,8 @@ from typing import Tuple
 
 from ...topologies.hyperx import HyperX
 from .base import RoutingAlgorithm
-from .dor import dor_next_channel
-from .min_adaptive import MinimalAdaptive, pick_min_cost
-from .table import maybe_route_table
+from .min_adaptive import MinimalAdaptive
+from .table import shared_route_table
 
 PHASE_TO_INTERMEDIATE = 0
 PHASE_TO_DESTINATION = 1
@@ -63,7 +62,7 @@ class UGAL(RoutingAlgorithm):
         self.num_vcs = self.topology.num_dims + 1
         self._minimal = MinimalAdaptive()
         self._minimal.attach(simulator)
-        self._route_table = maybe_route_table(self, self.topology)
+        self._route_table = shared_route_table(self.topology)
 
     def on_packet_created(self, packet) -> None:
         packet.minimal = None
@@ -73,69 +72,36 @@ class UGAL(RoutingAlgorithm):
     def _decide(self, engine, packet) -> None:
         """Source-router choice between minimal and Valiant routing.
 
-        With the shared route table bound, the minimal candidate set
-        and DOR hop come from the table; the occupancies compared, the
-        order they are compared in, and every draw from the shared
-        route RNG (the reservoir tie-breaks, then the intermediate
-        draw) are identical to the uncached path.
+        The minimal estimate is MIN AD's candidate choice; the Valiant
+        estimate uses one uniformly random intermediate router.  Route
+        RNG draws, in order: the reservoir tie-breaks of the minimal
+        choice, then the intermediate.
         """
-        topo = self.topology
         current = engine.router_id
         dst = packet.dst_router
         rng = self.rng
         table = self._route_table
-        if table is not None:
-            vc_min, candidates = table.minimal(current, dst)
-            h_min = vc_min + 1
-            # Inline pick_min_cost over (occ, 0, port): constant
-            # secondary key, so identical comparisons and draws; the
-            # chosen candidate's cost *is* the best cost, matching the
-            # q_min re-read below.
-            out_ports = engine.out_ports
-            q_min = None
-            ties = 0
-            for p, _ch in candidates:
-                cost = out_ports[p].occ
-                if q_min is None or cost < q_min:
-                    q_min = cost
-                    ties = 1
-                elif cost == q_min:
-                    ties += 1
-                    rng.random()
-            intermediate = rng.randrange(topo.num_routers)
-            if intermediate in (current, dst):
-                packet.minimal = True
-                return
-            h_val = table.hops(current, intermediate) + table.hops(intermediate, dst)
-            q_val = out_ports[table.dor_next(current, intermediate)[0]].occ
-            if q_min * h_min <= q_val * h_val + self.threshold:
-                packet.minimal = True
-            else:
-                packet.minimal = False
-                packet.intermediate = intermediate
-            return
-        # Minimal candidate: MIN AD's channel choice.
-        h_min = topo.min_router_hops(current, dst)
-        min_channel = pick_min_cost(
-            (
-                (engine.channel_occupancy(ch), 0, ch)
-                for ch in self._minimal.productive_channels(current, dst)
-            ),
-            rng,
-        )
-        q_min = engine.channel_occupancy(min_channel)
-        # Valiant candidate: one uniformly random intermediate router.
-        intermediate = rng.randrange(topo.num_routers)
+        vc_min, candidates = table.minimal(current, dst)
+        h_min = vc_min + 1
+        # Inline pick_min_cost over (occ, 0, port): constant secondary
+        # key, so identical comparisons and one reservoir draw per tie;
+        # only the chosen candidate's cost (the best cost) is needed.
+        out_ports = engine.out_ports
+        q_min = None
+        for p, _ch in candidates:
+            cost = out_ports[p].occ
+            if q_min is None or cost < q_min:
+                q_min = cost
+            elif cost == q_min:
+                rng.random()
+        intermediate = rng.randrange(self.topology.num_routers)
         if intermediate in (current, dst):
             # Degenerate intermediate: the non-minimal path collapses
             # onto the minimal one, so route minimally.
             packet.minimal = True
             return
-        h_val = topo.min_router_hops(current, intermediate) + topo.min_router_hops(
-            intermediate, dst
-        )
-        val_channel, _ = dor_next_channel(topo, current, intermediate)
-        q_val = engine.channel_occupancy(val_channel)
+        h_val = table.hops(current, intermediate) + table.hops(intermediate, dst)
+        q_val = out_ports[table.dor_next(current, intermediate)[0]].occ
         if q_min * h_min <= q_val * h_val + self.threshold:
             packet.minimal = True
         else:
@@ -143,7 +109,10 @@ class UGAL(RoutingAlgorithm):
             packet.intermediate = intermediate
 
     def route(self, engine, packet) -> Tuple[int, int]:
-        topo = self.topology
+        """Decide at the source router, then route minimal packets like
+        MIN AD and Valiant packets by dimension order (to-intermediate
+        phase on the top VC, then hops-remaining VCs)."""
+        table = self._route_table
         current = engine.router_id
         if packet.minimal is None:
             if current == packet.dst_router:
@@ -151,31 +120,6 @@ class UGAL(RoutingAlgorithm):
             self._decide(engine, packet)
         if packet.minimal:
             return self._minimal.route(engine, packet)
-        # Valiant mode.
-        if packet.phase == PHASE_TO_INTERMEDIATE and current == packet.intermediate:
-            packet.phase = PHASE_TO_DESTINATION
-        if packet.phase == PHASE_TO_DESTINATION and current == packet.dst_router:
-            return engine.ejection_port(packet.dst), 0
-        if packet.phase == PHASE_TO_INTERMEDIATE:
-            channel, _ = dor_next_channel(topo, current, packet.intermediate)
-            return engine.port_for_channel(channel), topo.num_dims
-        channel, remaining = dor_next_channel(topo, current, packet.dst_router)
-        return engine.port_for_channel(channel), remaining - 1
-
-    def route_event(self, engine, packet) -> Tuple[int, int]:
-        """Same decision as :meth:`route`; the minimal branch uses MIN
-        AD's memoized event path and the Valiant branch looks the DOR
-        hop up in the shared route table."""
-        table = self._route_table
-        if table is None:
-            return self.route(engine, packet)
-        current = engine.router_id
-        if packet.minimal is None:
-            if current == packet.dst_router:
-                return engine.ejection_port(packet.dst), 0
-            self._decide(engine, packet)
-        if packet.minimal:
-            return self._minimal.route_event(engine, packet)
         if packet.phase == PHASE_TO_INTERMEDIATE and current == packet.intermediate:
             packet.phase = PHASE_TO_DESTINATION
         if packet.phase == PHASE_TO_DESTINATION and current == packet.dst_router:

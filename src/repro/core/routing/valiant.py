@@ -23,8 +23,7 @@ from typing import Tuple
 
 from ...topologies.hyperx import HyperX
 from .base import RoutingAlgorithm
-from .dor import dor_next_channel
-from .table import maybe_route_table
+from .table import shared_route_table
 
 PHASE_TO_INTERMEDIATE = 0
 PHASE_TO_DESTINATION = 1
@@ -45,34 +44,17 @@ class Valiant(RoutingAlgorithm):
         super().attach(simulator)
         if not isinstance(self.topology, HyperX):
             raise TypeError(f"{self.name} requires a HyperX-family topology")
-        self._route_table = maybe_route_table(self, self.topology)
+        self._route_table = shared_route_table(self.topology)
 
     def on_packet_created(self, packet) -> None:
         packet.intermediate = self.rng.randrange(self.topology.num_routers)
         packet.phase = PHASE_TO_INTERMEDIATE
 
     def route(self, engine, packet) -> Tuple[int, int]:
-        current = engine.router_id
-        if packet.phase == PHASE_TO_INTERMEDIATE and current == packet.intermediate:
-            packet.phase = PHASE_TO_DESTINATION
-        if packet.phase == PHASE_TO_DESTINATION and current == packet.dst_router:
-            return engine.ejection_port(packet.dst), 0
-        if packet.phase == PHASE_TO_INTERMEDIATE:
-            target = packet.intermediate
-            vc = 1
-        else:
-            target = packet.dst_router
-            vc = 0
-        channel, _ = dor_next_channel(self.topology, current, target)
-        return engine.port_for_channel(channel), vc
-
-    def route_event(self, engine, packet) -> Tuple[int, int]:
-        """Same decision as :meth:`route` with the dimension-order hop
-        looked up in the shared route table (DOR is oblivious: no draws,
-        no cost reads, so the table hit is trivially bit-identical)."""
+        """Dimension order toward the intermediate on VC 1, then toward
+        the destination on VC 0; the hop comes from the shared route
+        table."""
         table = self._route_table
-        if table is None:
-            return self.route(engine, packet)
         current = engine.router_id
         if packet.phase == PHASE_TO_INTERMEDIATE and current == packet.intermediate:
             packet.phase = PHASE_TO_DESTINATION

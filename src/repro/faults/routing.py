@@ -106,29 +106,23 @@ class _DorFaultHelper:
                 return channel
         return None
 
-    def _dor_next_alive(
-        self, current: int, target: int
-    ) -> Tuple[Optional[Channel], int]:
-        """Next surviving DOR channel toward ``target`` and the hops
-        remaining, or ``(None, hops)`` when the required hop is dead."""
-        topo = self._dor_topology
-        remaining = topo.min_router_hops(current, target)
-        d = first_differing_dim(topo, current, target)
-        if d is None:
-            raise ValueError(f"router {current} is already the target")
-        return (
-            self._alive_channel_to(current, d, topo.coord_digit(target, d)),
-            remaining,
-        )
-
     def _dor_hop(
         self, current: int, target: int
     ) -> Tuple[Optional[Channel], int]:
-        """Memoized :meth:`_dor_next_alive` (identical return value)."""
+        """Next surviving DOR channel toward ``target`` and the hops
+        remaining, or ``(None, hops)`` when the required hop is dead
+        (memoized per pair)."""
         key = (current, target)
         entry = self._dor_hop_cache.get(key)
         if entry is None:
-            entry = self._dor_next_alive(current, target)
+            topo = self._dor_topology
+            d = first_differing_dim(topo, current, target)
+            if d is None:
+                raise ValueError(f"router {current} is already the target")
+            entry = (
+                self._alive_channel_to(current, d, topo.coord_digit(target, d)),
+                topo.min_router_hops(current, target),
+            )
             self._dor_hop_cache[key] = entry
         return entry
 
@@ -145,7 +139,7 @@ class _DorFaultHelper:
         )
         current = src_router
         while alive and current != dst_router:
-            channel, _ = self._dor_next_alive(current, dst_router)
+            channel, _ = self._dor_hop(current, dst_router)
             if channel is None:
                 alive = False
             else:
@@ -228,20 +222,10 @@ class FaultAwareMinimalAdaptive(MinimalAdaptive):
             if ch.index not in failed
         ]
 
-    def productive_channels(self, current: int, dst_router: int) -> List[Channel]:
-        """Surviving productive channels that do not dead-end."""
-        if self._faults is None:
-            return super().productive_channels(current, dst_router)
-        return [
-            ch
-            for ch in self._surviving_productive(current, dst_router)
-            if self.minimally_reachable(ch.dst, dst_router)
-        ]
-
     def _masked_minimal(self, current: int, dst_router: int):
         """``(vc, ((port, channel), ...))``: the shared table's minimal
-        entry masked by the permanent faults, in the same candidate
-        order as :meth:`productive_channels`."""
+        entry masked by the permanent faults — surviving candidates
+        that do not dead-end, in the table's order."""
         key = (current, dst_router)
         entry = self._masked_cache.get(key)
         if entry is None:
@@ -263,48 +247,22 @@ class FaultAwareMinimalAdaptive(MinimalAdaptive):
         current = engine.router_id
         if current == packet.dst_router:
             return engine.ejection_port(packet.dst), 0
-        coster = self._coster
-        rng = self.rng
-        if self._route_table is not None:
-            # Masked-table path: identical candidates in identical
-            # order, so the cost sequence seen by pick_min_cost (and
-            # therefore every tie-break draw) matches the uncached path
-            # below.
-            vc, pairs = self._masked_minimal(current, packet.dst_router)
-            if not pairs:
-                raise AssertionError(
-                    f"router {current}: no surviving minimal route to "
-                    f"{packet.dst_router}; packet {packet.pid} should have "
-                    f"been accounted undeliverable at creation"
-                )
-            cost = coster.cost
-            return (
-                pick_min_cost(
-                    ((cost(engine, ch), 0, port) for port, ch in pairs), rng
-                ),
-                vc,
-            )
-        candidates = self.productive_channels(current, packet.dst_router)
-        if not candidates:
+        vc, pairs = self._masked_minimal(current, packet.dst_router)
+        if not pairs:
             raise AssertionError(
                 f"router {current}: no surviving minimal route to "
-                f"{packet.dst_router}; packet {packet.pid} should have been "
-                f"accounted undeliverable at creation"
+                f"{packet.dst_router}; packet {packet.pid} should have "
+                f"been accounted undeliverable at creation"
             )
-        vc = self.topology.min_router_hops(current, packet.dst_router) - 1
-        channel = pick_min_cost(
-            ((coster.cost(engine, ch), 0, ch) for ch in candidates),
-            rng,
+        # Costs carry the transient-outage surcharge, so they are read
+        # per decision; ties are broken by pick_min_cost's draws.
+        cost = self._coster.cost
+        return (
+            pick_min_cost(
+                ((cost(engine, ch), 0, port) for port, ch in pairs), self.rng
+            ),
+            vc,
         )
-        return engine.port_for_channel(channel), vc
-
-    def route_event(self, engine, packet) -> Tuple[int, int]:
-        # The memoized fault-free fast path is invalid once transient
-        # outages make costs time-dependent; re-route identically to
-        # the polling kernel instead.
-        if self._faults is None:
-            return super().route_event(engine, packet)
-        return self.route(engine, packet)
 
     def deliverable(self, src_terminal: int, dst_terminal: int) -> bool:
         faults = self._faults
@@ -364,24 +322,13 @@ class FaultAwareValiant(Valiant, _DorFaultHelper):
             target, vc = packet.intermediate, 1
         else:
             target, vc = packet.dst_router, 0
-        if self._route_table is not None:
-            # Masked-DOR cache: same unique surviving hop, memoized.
-            channel, _ = self._dor_hop(current, target)
-        else:
-            channel, _ = self._dor_next_alive(current, target)
+        channel, _ = self._dor_hop(current, target)
         if channel is None:
             raise AssertionError(
                 f"router {current}: DOR hop toward {target} has no surviving "
                 f"channel despite feasibility filtering"
             )
         return engine.port_for_channel(channel), vc
-
-    def route_event(self, engine, packet) -> Tuple[int, int]:
-        # Valiant's table route_event takes the *healthy* DOR hop, so
-        # under faults the masked path in route() must run instead.
-        if self._faults is None:
-            return super().route_event(engine, packet)
-        return self.route(engine, packet)
 
     def deliverable(self, src_terminal: int, dst_terminal: int) -> bool:
         faults = self._faults
@@ -423,9 +370,9 @@ class FaultAwareUGAL(UGAL, _DorFaultHelper):
         self._minimal.attach(simulator)
         self._faults = _fault_state(simulator)
         self._coster = _ChannelCoster(self._faults)
-        from ..core.routing.table import maybe_route_table
+        from ..core.routing.table import shared_route_table
 
-        self._route_table = maybe_route_table(self, self.topology)
+        self._route_table = shared_route_table(self.topology)
         if self._faults is not None:
             self._dor_init(self.topology, self._faults)
             # (current, dst) -> feasible intermediates minus the
@@ -456,12 +403,9 @@ class FaultAwareUGAL(UGAL, _DorFaultHelper):
         current = engine.router_id
         dst = packet.dst_router
         coster = self._coster
-        if self._route_table is not None:
-            min_candidates = [
-                ch for _port, ch in self._minimal._masked_minimal(current, dst)[1]
-            ]
-        else:
-            min_candidates = self._minimal.productive_channels(current, dst)
+        min_candidates = [
+            ch for _port, ch in self._minimal._masked_minimal(current, dst)[1]
+        ]
         feasible = self._feasible_proper(current, dst)
         if not min_candidates and not feasible:
             raise AssertionError(
@@ -490,20 +434,13 @@ class FaultAwareUGAL(UGAL, _DorFaultHelper):
         h_val = topo.min_router_hops(current, intermediate) + topo.min_router_hops(
             intermediate, dst
         )
-        val_channel, _ = self._masked_dor(current, intermediate)
+        val_channel, _ = self._dor_hop(current, intermediate)
         q_val = coster.cost(engine, val_channel)
         if q_min * h_min <= q_val * h_val + self.threshold:
             packet.minimal = True
         else:
             packet.minimal = False
             packet.intermediate = intermediate
-
-    def _masked_dor(self, current: int, target: int):
-        """The surviving DOR hop — memoized via the mask cache when the
-        route-table layer is on, recomputed otherwise (same value)."""
-        if self._route_table is not None:
-            return self._dor_hop(current, target)
-        return self._dor_next_alive(current, target)
 
     def route(self, engine, packet) -> Tuple[int, int]:
         if self._faults is None:
@@ -521,29 +458,20 @@ class FaultAwareUGAL(UGAL, _DorFaultHelper):
         if packet.phase == PHASE_TO_DESTINATION and current == packet.dst_router:
             return engine.ejection_port(packet.dst), 0
         if packet.phase == PHASE_TO_INTERMEDIATE:
-            channel, _ = self._masked_dor(current, packet.intermediate)
+            channel, _ = self._dor_hop(current, packet.intermediate)
             if channel is None:
                 raise AssertionError(
                     f"router {current}: severed DOR hop toward intermediate "
                     f"{packet.intermediate}"
                 )
             return engine.port_for_channel(channel), topo.num_dims
-        channel, remaining = self._masked_dor(current, packet.dst_router)
+        channel, remaining = self._dor_hop(current, packet.dst_router)
         if channel is None:
             raise AssertionError(
                 f"router {current}: severed DOR hop toward destination "
                 f"{packet.dst_router}"
             )
         return engine.port_for_channel(channel), remaining - 1
-
-    def route_event(self, engine, packet) -> Tuple[int, int]:
-        # UGAL's table route_event takes *healthy* DOR hops for the
-        # Valiant phase; under faults the masked path in route() must
-        # run instead (its minimal branch still hits the masked-table
-        # candidate cache through self._minimal).
-        if self._faults is None:
-            return super().route_event(engine, packet)
-        return self.route(engine, packet)
 
     def deliverable(self, src_terminal: int, dst_terminal: int) -> bool:
         faults = self._faults

@@ -6,11 +6,10 @@ switch allocator enforces the bandwidth by granting each output port at
 most once per cycle), plus the reverse credit path used by credit-based
 flow control.
 
-Pipes are *event producers*: :meth:`ChannelPipe.send_flit` and
-:meth:`ChannelPipe.send_credit` compute their own delivery cycle and
-register it with the simulator's event wheel, so the kernel wakes a
-pipe exactly when something is due instead of scanning every busy pipe
-every cycle.
+Pipes are woken, not scanned: the router engine that puts a flit on
+the wire or returns a credit also registers the pipe on the
+simulator's event wheel at the item's delivery cycle, so the kernel
+visits a pipe exactly when something is due.
 """
 
 from __future__ import annotations
@@ -66,20 +65,6 @@ class ChannelPipe:
     def push_credit(self, vc: int, arrival: int) -> None:
         """Send a credit for ``vc`` back upstream, due at ``arrival``."""
         self.credits.append((arrival, vc))
-
-    def send_flit(self, sim, flit: Flit, vc: int, now: int) -> None:
-        """Place ``flit`` on the wire at cycle ``now`` and schedule its
-        delivery with the simulator's event wheel."""
-        arrival = now + sim.config.channel_latency
-        self.push_flit(flit, vc, arrival)
-        sim.schedule_pipe(self, arrival)
-
-    def send_credit(self, sim, vc: int, now: int) -> None:
-        """Return a ``vc`` credit upstream at cycle ``now`` and
-        schedule its delivery with the simulator's event wheel."""
-        arrival = now + sim.config.credit_latency
-        self.push_credit(vc, arrival)
-        sim.schedule_pipe(self, arrival)
 
     def busy(self) -> bool:
         """Whether anything is still in flight on this pipe."""

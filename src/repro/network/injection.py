@@ -47,10 +47,10 @@ class InjectionProcess(abc.ABC):
         * ``None`` is a promise that ``injections`` returns ``[]``
           forever after — the run may terminate as soon as the network
           drains.
-        * The method must not mutate state or draw RNG: it may be
-          called on cycles that are subsequently skipped, and is never
-          called under the polling kernel, so any side effect would
-          desynchronize the two (bit-identical) kernels.
+        * The method must not mutate state or draw RNG: it is called
+          only when the network is quiescent, on cycles that may then
+          be skipped, so any side effect would make results depend on
+          whether an attached tracer permits idle skipping.
 
         The conservative default returns ``now`` ("an injection may
         happen immediately"), which keeps custom subclasses *correct*

@@ -7,30 +7,25 @@ injection process, and advances the network one cycle at a time:
 2. create new packets (injection process + traffic pattern) and move
    source-queue flits into injection buffers (one flit per cycle per
    terminal, matching unit terminal bandwidth),
-3. routing phase at every active router (greedy or sequential
-   allocator),
-4. switch phase at every active router (one flit per output channel
-   per cycle).
+3. routing and switch sub-iterations at every busy router (greedy or
+   sequential allocator, switch speedup),
+4. wire phase at every router with staged flits (one flit per output
+   channel per cycle).
 
-Two kernels implement this contract:
+The exact kernel keeps per-cycle work proportional to the flits in
+flight: routers register themselves in activation sets when they hold
+work (``_busy_engines`` for routing/switch, ``_wire_engines`` for
+staged output flits), channel pipes are woken from an event wheel on
+their delivery cycles instead of being scanned, and fully quiescent
+stretches at low load are skipped by jumping straight to the next
+scheduled injection.  Busy routers are visited in ascending index
+within each switch sub-iteration, so every shared-RNG draw and every
+round-robin pointer is a fixed function of the configuration: runs are
+fully deterministic given ``SimulationConfig.seed``, and
+``tests/test_kernel_fingerprint.py`` pins their exact output.
 
-* The **event kernel** (default) keeps per-cycle work proportional to
-  the flits in flight: routers register themselves in activation sets
-  when they hold work (``_busy_engines`` for routing/switch,
-  ``_wire_engines`` for staged output flits), channel pipes schedule
-  their own delivery cycles on an event wheel instead of being
-  scanned, and fully quiescent stretches at low load are skipped by
-  jumping straight to the next scheduled injection.
-* The **polling kernel** is the original all-routers-every-cycle loop,
-  kept behind ``REPRO_KERNEL=polling`` for one release as a
-  cross-check; ``tests/test_kernel_equivalence.py`` asserts the two
-  kernels produce bit-identical results.
-
-Both kernels execute the same router-engine code in the same global
-order (routers in ascending index within each switch sub-iteration),
-so every shared-RNG draw, every round-robin pointer, and therefore
-every golden result is identical between them.  Runs are fully
-deterministic given ``SimulationConfig.seed``.
+``kernel="batch"`` selects the vectorized approximate backend
+(:mod:`repro.network.batch`) for batched open-loop measurements.
 """
 
 from __future__ import annotations
@@ -45,7 +40,6 @@ from ..core.routing.base import RoutingAlgorithm
 from ..profiling import PhaseProfile, profiling_enabled
 from ..topologies.base import Topology
 from ..traffic.patterns import TrafficPattern
-from .allocators import make_allocator
 from .buffers import CHANNEL_PORT
 from .channel import ChannelPipe
 from .config import SimulationConfig, derive_seed
@@ -64,11 +58,11 @@ from .workload import UnsupportedWorkloadError, Workload
 #: Environment variable selecting the simulation kernel.
 KERNEL_ENV = "REPRO_KERNEL"
 
-#: Recognized kernel names.  ``"batch"`` selects the vectorized
+#: Recognized kernel names: the exact event kernel, and the vectorized
 #: structure-of-arrays backend (:mod:`repro.network.batch`), which is
-#: validated statistically rather than bit-exactly against the other
-#: two and requires numpy (``pip install repro[batch]``).
-KERNELS = ("event", "polling", "batch")
+#: validated statistically rather than bit-exactly against the event
+#: kernel and requires numpy (``pip install repro[batch]``).
+KERNELS = ("event", "batch")
 
 
 def resolve_kernel(kernel: Optional[str] = None) -> str:
@@ -123,7 +117,7 @@ class Simulator:
     case pass ``None``) — driven by :meth:`run_workload`.
 
     Args:
-        kernel: ``"event"``, ``"polling"`` or ``"batch"`` (see
+        kernel: ``"event"`` or ``"batch"`` (see
             :data:`KERNELS`); ``None`` (default) reads ``$REPRO_KERNEL``
             and falls back to the event kernel.  A ``"batch"``
             simulator runs only the batched measurements
@@ -177,27 +171,17 @@ class Simulator:
         # Delivery hook resolved at run time (run_workload): non-None
         # only when the workload overrides Workload.on_delivered.
         self._on_delivered = None
-        self.allocator = make_allocator(algorithm.sequential)
         self.kernel = resolve_kernel(kernel)
-        self._event_driven = self.kernel == "event"
-        # This kernel's four per-cycle phases, in execution order
+        # The four per-cycle phases, in execution order
         # (repro.profiling.PHASES): deliver(now), inject(process, now),
         # route_switch(now), wire(now).  The untimed and the timed step
         # both drive exactly these callables.
-        if self._event_driven:
-            self._phase_fns = (
-                self._deliver_events,
-                self._inject_event,
-                self._route_switch_events,
-                self._wire_events,
-            )
-        else:
-            self._phase_fns = (
-                self._deliver,
-                self._inject,
-                self._route_switch_polling,
-                self._wire_polling,
-            )
+        self._phase_fns = (
+            self._deliver_events,
+            self._inject_event,
+            self._route_switch_events,
+            self._wire_events,
+        )
         self._profile = PhaseProfile() if profiling_enabled(profile) else None
 
         seed = self.config.seed
@@ -258,11 +242,8 @@ class Simulator:
 
         # Flit free list: flits are unreachable once ejected, so they
         # are recycled instead of re-allocated (identical simulation —
-        # a flit's identity never influences a decision).  Disabled via
-        # $REPRO_FLIT_POOL=0, which the pooled-vs-unpooled equivalence
-        # test uses to prove bit-identical results.
+        # a flit's identity never influences a decision).
         self._flit_pool: List[Flit] = []
-        self._flit_pool_enabled = os.environ.get("REPRO_FLIT_POOL", "1") != "0"
         self._flits_allocated = 0
         self._flits_reused = 0
 
@@ -377,22 +358,8 @@ class Simulator:
             self._injection_invc[terminal] = self.engines[r].in_ports[port][0]
 
     # ------------------------------------------------------------------
-    # Hooks used by RouterEngine / ChannelPipe
+    # Hooks: tracers and ejection
     # ------------------------------------------------------------------
-    def schedule_pipe(self, pipe: ChannelPipe, arrival: int) -> None:
-        """Register that ``pipe`` has something due at ``arrival``."""
-        self._active_pipes[pipe] = None
-        if self._event_driven:
-            wheel = self._wheel
-            slot = wheel.get(arrival)
-            if slot is None:
-                wheel[arrival] = [pipe]
-            elif slot[-1] is not pipe:
-                # Duplicate wheel entries are harmless (delivery drains
-                # a pipe completely), so dedup only the common
-                # flit+credit burst onto the same pipe.
-                slot.append(pipe)
-
     def attach_tracer(self, tracer) -> None:
         """Register a :class:`repro.network.trace.Tracer` to observe
         every subsequent cycle."""
@@ -430,38 +397,16 @@ class Simulator:
         # reference, so recycle it.  The stale ``packet`` reference is
         # left in place (overwritten on reuse) so observers wrapping
         # this method can still inspect the ejected flit.
-        if self._flit_pool_enabled and len(self._flit_pool) < 65536:
+        if len(self._flit_pool) < 65536:
             self._flit_pool.append(flit)
 
     # ------------------------------------------------------------------
     # Cycle execution
     # ------------------------------------------------------------------
-    def _deliver(self, now: int) -> None:
-        """Polling-kernel delivery: scan every busy pipe."""
-        done = []
-        engines = self.engines
-        for pipe in self._active_pipes:
-            self._events_dispatched += 1
-            flits = pipe.flits
-            engine = engines[pipe.dst_router]
-            while flits and flits[0][0] <= now:
-                _, flit, vc = flits.popleft()
-                engine.deliver(pipe.dst_in_port, vc, flit)
-            credits = pipe.credits
-            if credits:
-                out = engines[pipe.src_router].out_ports[pipe.src_port]
-                while credits and credits[0][0] <= now:
-                    _, vc = credits.popleft()
-                    out.credits[vc] += 1
-                    out.occ -= 1
-            if not flits and not credits:
-                done.append(pipe)
-        for pipe in done:
-            del self._active_pipes[pipe]
-
     def _deliver_events(self, now: int) -> None:
-        """Event-kernel delivery: visit exactly the pipes with
-        something due at ``now``."""
+        """Delivery phase: visit exactly the pipes with something due at
+        ``now`` (the event wheel slot), move their arriving flits into
+        input VCs and their returning credits into output ports."""
         batch = self._wheel.pop(now, None)
         if batch is None:
             return
@@ -473,9 +418,9 @@ class Simulator:
             flits = pipe.flits
             if flits:
                 engine = engines[pipe.dst_router]
-                # Inline of engine.deliver(port, vc, flit) for the
-                # event kernel (the ``self._event`` branch is always
-                # taken here), saving a method call per arriving flit.
+                # An arriving flit that turns its VC non-empty files the
+                # VC with its engine: as a head awaiting a route, or as
+                # the next flits of a packet whose route is locked.
                 in_vcs = engine.in_ports[pipe.dst_in_port]
                 while flits and flits[0][0] <= now:
                     _, flit, vc = flits.popleft()
@@ -525,93 +470,19 @@ class Simulator:
         for cycle in sorted(c for c in wheel if c <= target):
             self._deliver_events(cycle)
 
-    def _create_packet(self, terminal: int, now: int) -> Optional[Packet]:
-        dst = self.pattern.destination(terminal, self.traffic_rng)
-        # The traffic-RNG draw above happens unconditionally so a
-        # fault set never perturbs the destination sequence; only then
-        # is the pair checked for deliverability under the permanent
-        # faults.  Undeliverable packets are counted and dropped before
-        # entering the source queue — they are never labeled and never
-        # in flight, which is what lets the drain phase terminate on a
-        # disconnected network.
-        if self.fault_state is not None and not self.algorithm.deliverable(
-            terminal, dst
-        ):
-            self.packets_undeliverable += 1
-            return None
-        packet = Packet(
-            pid=self.packets_created,
-            src=terminal,
-            dst=dst,
-            dst_router=self.topology.ejection_router(dst),
-            size=self.config.packet_size,
-            time_created=now,
-        )
-        self.packets_created += 1
-        self.in_flight += 1
-        if self._window is not None:
-            self._window.label_if_in_window(packet, now)
-        self.algorithm.on_packet_created(packet)
-        return packet
-
-    def _inject(self, process: InjectionProcess, now: int) -> None:
-        for terminal, count in process.injections(now):
-            queue = self._sources[terminal]
-            for _ in range(count):
-                packet = self._create_packet(terminal, now)
-                if packet is not None:
-                    queue.append(packet)
-            if queue:
-                self._active_sources[terminal] = None
-        if not self._active_sources:
-            return
-        done = []
-        for terminal in self._active_sources:
-            queue = self._sources[terminal]
-            router, port = self._injection_port[terminal]
-            engine = self.engines[router]
-            invc = engine.in_ports[port][0]
-            if invc.has_space():
-                packet = queue[0]
-                cursor = self._source_cursor[terminal]
-                flit = self._make_flit(
-                    packet, cursor == 0, cursor == packet.size - 1
-                )
-                if flit.is_head:
-                    packet.time_injected = now
-                engine.deliver(port, 0, flit)
-                if flit.is_tail:
-                    queue.popleft()
-                    self._source_cursor[terminal] = 0
-                    if not queue:
-                        done.append(terminal)
-                else:
-                    self._source_cursor[terminal] = cursor + 1
-        for terminal in done:
-            del self._active_sources[terminal]
-
-    def _make_flit(self, packet: Packet, is_head: bool, is_tail: bool) -> Flit:
-        """A flit off the free list (or a fresh one when it is empty)."""
-        pool = self._flit_pool
-        if pool:
-            flit = pool.pop()
-            flit.packet = packet
-            flit.is_head = is_head
-            flit.is_tail = is_tail
-            self._flits_reused += 1
-            return flit
-        self._flits_allocated += 1
-        return Flit(packet, is_head, is_tail)
-
     def _inject_event(self, process: InjectionProcess, now: int) -> None:
-        """Event-kernel injection: same decisions as :meth:`_inject`
-        (identical packet creation order, so identical traffic-RNG
-        draws), with packet creation inlined (:meth:`_create_packet`
-        body, loop-hoisted), the port lookups pre-resolved per
-        terminal, and the flit delivery inlined
-        (``RouterEngine.deliver`` for an injection input, minus the
-        overflow assertion — the has-space check here is that
-        assertion).
+        """Injection phase: create this cycle's packets, then move at
+        most one source-queue flit per active terminal into its
+        injection FIFO (unit terminal bandwidth).
+
+        Packets are created in the process's (terminal, count) order,
+        which fixes the traffic-RNG draws.  A destination is drawn even
+        when the fault set makes the pair undeliverable, so faults
+        never perturb the destination sequence; such packets are
+        counted and dropped before entering the source queue — never
+        labeled, never in flight — which is what lets the drain phase
+        terminate on a disconnected network.  The has-space check on
+        the injection FIFO is the overflow guard of this input.
 
         Terminals whose injection FIFO was full at the last attempt
         wait in ``_stalled_sources`` instead of being re-polled every
@@ -619,8 +490,7 @@ class Simulator:
         (see the injection-input branch of ``route_switch``).  The
         per-terminal injection work is independent — no RNG, no shared
         state beyond the order-insensitive activation sets — so the
-        changed iteration order over terminals is result-identical to
-        :meth:`_inject`'s single scan.
+        order in which terminals are visited does not affect results.
         """
         active_sources = self._active_sources
         sources = self._sources
@@ -744,11 +614,11 @@ class Simulator:
         and append them to their source queues.
 
         The workload-run analogue of the creation half of
-        :meth:`_inject` / :meth:`_inject_event`, shared by both exact
-        kernels: identical packet numbering, labeling, fault handling
-        and source-activation transitions, with the destination chosen
-        by the workload instead of a pattern (``SyntheticWorkload``
-        reproduces the legacy pattern draws bit-for-bit).
+        :meth:`_inject_event`: identical packet numbering, labeling,
+        fault handling and source-activation transitions, with the
+        destination chosen by the workload instead of a pattern
+        (``SyntheticWorkload`` reproduces the legacy pattern draws
+        bit-for-bit).
         """
         msgs = workload.messages(now)
         if not msgs:
@@ -852,38 +722,11 @@ class Simulator:
             tracer.on_cycle(now)
         self.now = now + 1
 
-    def _route_switch_polling(self, now: int) -> None:
-        """The original kernel: every engine is walked through every
-        phase every cycle, whether or not it has work.  Switch
-        speedup: repeat routing + switch sub-iterations until nothing
-        moves (or the configured speedup bound is reached)."""
-        engines = self.engines
-        num_engines = len(engines)
-        speedup = self.config.speedup
-        iteration = 0
-        while True:
-            for engine in engines:
-                engine.routing_phase(now)
-            moved = False
-            for engine in engines:
-                if engine.switch_subiter(now):
-                    moved = True
-            self._phase_calls += 2 * num_engines
-            iteration += 1
-            if not moved or (speedup is not None and iteration >= speedup):
-                break
-
-    def _wire_polling(self, now: int) -> None:
-        engines = self.engines
-        for engine in engines:
-            engine.wire_phase(now)
-        self._phase_calls += len(engines)
-
     def _route_switch_events(self, now: int) -> None:
-        """The active-set kernel: only routers that can possibly do
-        something are visited, in the same global order (ascending
-        router id per sub-iteration) as the polling kernel, so every
-        shared-RNG draw and arbitration decision is identical.
+        """Routing and switch phase: only routers that can possibly do
+        something are visited, in ascending router id within each
+        switch sub-iteration, so every shared-RNG draw and arbitration
+        decision happens in a fixed global order.
 
         Routing and switching are fused per engine
         (:meth:`RouterEngine.route_switch`); within one cycle an engine
@@ -905,8 +748,8 @@ class Simulator:
         iteration = 0
         while True:
             # Only engines reporting possible follow-up work (2) are
-            # swept again; the polling kernel would route and switch
-            # nothing at any engine reporting 0 or 1.
+            # swept again; an engine reporting 0 or 1 provably has
+            # nothing left to route or switch this cycle.
             next_movers = [e for e in movers if e.route_switch(now) == 2]
             phase_calls += len(movers)
             iteration += 1
@@ -918,6 +761,8 @@ class Simulator:
         self._phase_calls += phase_calls
 
     def _wire_events(self, now: int) -> None:
+        """Wire phase: every router with staged flits, in ascending
+        router id."""
         wire = self._wire_engines
         if not wire:
             return
@@ -930,14 +775,12 @@ class Simulator:
         self._phase_calls += len(targets)
 
     # ------------------------------------------------------------------
-    # Idle skipping (event kernel only)
+    # Idle skipping
     # ------------------------------------------------------------------
     def _skip_ok(self) -> bool:
-        """Whether quiescent stretches may be jumped over: event
-        kernel, and every attached tracer can summarize idle gaps."""
-        return self._event_driven and all(
-            tracer.supports_idle_skip for tracer in self._tracers
-        )
+        """Whether quiescent stretches may be jumped over: every
+        attached tracer can summarize idle gaps."""
+        return all(tracer.supports_idle_skip for tracer in self._tracers)
 
     def _skip_idle_to(self, target: int) -> None:
         """Jump ``now`` over the quiescent cycles ``[now, target)``.
@@ -946,8 +789,8 @@ class Simulator:
         queues empty) and no injection is scheduled before ``target``:
         then the skipped cycles are no-ops apart from credits still
         returning upstream, which are flushed here — by ``target`` they
-        have arrived in both kernels, and nothing could have observed
-        them earlier because nothing was routed or switched.
+        would have arrived anyway, and nothing could have observed them
+        earlier because nothing was routed or switched.
         """
         start = self.now
         for tracer in self._tracers:
@@ -1012,8 +855,9 @@ class Simulator:
 
         ``_busy_engines`` must be exactly the engines with buffered
         flits, ``_wire_engines`` exactly those with staged flits, and
-        every in-flight pipe item must be reachable (active pipe, and
-        a scheduled wheel entry under the event kernel)."""
+        every in-flight pipe item must be reachable (active pipe and a
+        scheduled wheel entry); each engine's unrouted set and standing
+        switch requests must match its active input VCs."""
         busy_truth = {
             e.router_id for e in self.engines
             if any(invc.fifo for port in e.in_ports for invc in port)
@@ -1054,30 +898,27 @@ class Simulator:
         busy_pipes = {pipe for pipe in self.pipes if pipe.busy()}
         if not busy_pipes.issubset(self._active_pipes):
             raise AssertionError("pipe with in-flight items not in active set")
-        if self._event_driven:
-            scheduled = {pipe for slot in self._wheel.values() for pipe in slot}
-            if not busy_pipes.issubset(scheduled):
-                raise AssertionError("pipe with in-flight items has no event")
-            for engine in self.engines:
-                unrouted_truth = {
-                    invc for invc in engine.active if invc.route_port is None
-                }
-                if unrouted_truth != set(engine._unrouted):
-                    raise AssertionError(
-                        f"router {engine.router_id}: unrouted set out of sync"
-                    )
-                request_truth = {
-                    invc for invc in engine.active if invc.route_port is not None
-                }
-                filed = {
-                    invc
-                    for members in engine._requests.values()
-                    for invc in members
-                }
-                if request_truth != filed:
-                    raise AssertionError(
-                        f"router {engine.router_id}: standing requests out of sync"
-                    )
+        scheduled = {pipe for slot in self._wheel.values() for pipe in slot}
+        if not busy_pipes.issubset(scheduled):
+            raise AssertionError("pipe with in-flight items has no event")
+        for engine in self.engines:
+            unrouted_truth = {
+                invc for invc in engine.active if invc.route_port is None
+            }
+            if unrouted_truth != set(engine._unrouted):
+                raise AssertionError(
+                    f"router {engine.router_id}: unrouted set out of sync"
+                )
+            request_truth = {
+                invc for invc in engine.active if invc.route_port is not None
+            }
+            filed = {
+                invc for members in engine._requests.values() for invc in members
+            }
+            if request_truth != filed:
+                raise AssertionError(
+                    f"router {engine.router_id}: standing requests out of sync"
+                )
 
     # ------------------------------------------------------------------
     # Runs
@@ -1220,8 +1061,8 @@ class Simulator:
                     f"the vectorized backend implements only open-loop "
                     f"Bernoulli traffic over a compiled pattern "
                     f"(closed-loop and trace-driven sources need the exact "
-                    f"kernels' delivery hooks and per-cycle timing); use "
-                    f"kernel='event' or kernel='polling'"
+                    f"kernel's delivery hooks and per-cycle timing); use "
+                    f"kernel='event'"
                 )
             load, pattern = delegate
             self._consume()

@@ -85,7 +85,7 @@ class KernelStats:
     wire-phase invocations the kernel actually executed, which is the
     quantity the active-set kernel shrinks, and ``events_dispatched``
     counts channel-pipe wakeups (flit and credit deliveries pulled off
-    the event wheel, or active-pipe scans under the polling kernel).
+    the event wheel).
 
     Excluded from result equality (and from ``repr``) because
     ``wall_seconds`` varies run to run while the simulation outcome

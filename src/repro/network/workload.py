@@ -33,8 +33,8 @@ stretches are never executed at all (they are jumped over guided by
 :meth:`Workload.next_message_cycle`).  A workload must therefore draw
 from the shared RNGs **only on cycles where it emits messages** —
 calendar-style scheduling, where the next firing is drawn when the
-current one fires, satisfies this; drawing "per cycle" would desync
-the event and polling kernels.  State that must advance on a schedule
+current one fires, satisfies this; drawing "per cycle" would make
+results depend on whether quiescent stretches were skipped.  State that must advance on a schedule
 regardless of arrivals (e.g. churn epochs) has to be derived from the
 cycle number and a private seed, not from a shared stream.
 """

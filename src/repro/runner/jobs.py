@@ -15,8 +15,10 @@ lets a worker process recognise that consecutive jobs share a topology
 and because the shared :class:`~repro.core.routing.table.RouteTable` is
 keyed on the topology *object*, reusing the object also reuses every
 precomputed routing entry.  Reuse cannot change results: a topology is
-immutable once constructed, and the route-table layer is pinned
-bit-identical on/off by the kernel-equivalence tests.
+immutable once constructed, and every table entry is a pure function of
+it, filled lazily in whatever order the jobs ask (the committed
+fingerprints of ``tests/test_kernel_fingerprint.py`` each build a fresh
+table and pin the resulting routing decisions).
 
 :func:`execute_job` is the single per-job worker entry point;
 :func:`execute_chunk` runs a batch of jobs and reports the worker's

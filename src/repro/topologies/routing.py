@@ -15,7 +15,7 @@ from typing import Tuple
 
 from ..core.routing.base import RoutingAlgorithm
 from ..core.routing.min_adaptive import pick_min_cost
-from ..core.routing.table import maybe_route_table
+from ..core.routing.table import shared_route_table
 from .butterfly import Butterfly
 from .folded_clos import FoldedClos
 from .hypercube import Hypercube
@@ -32,30 +32,18 @@ class DestinationTag(RoutingAlgorithm):
         super().attach(simulator)
         if not isinstance(self.topology, Butterfly):
             raise TypeError(f"{self.name} requires a Butterfly")
-        self._route_table = maybe_route_table(self, self.topology)
+        self._route_table = shared_route_table(self.topology)
 
     def route(self, engine, packet) -> Tuple[int, int]:
-        topo = self.topology
-        current = engine.router_id
-        if topo.stage_of(current) == topo.n - 1:
-            return engine.ejection_port(packet.dst), 0
-        channel = topo.destination_tag_next(current, packet.dst)
-        return engine.port_for_channel(channel), 0
-
-    def route_event(self, engine, packet) -> Tuple[int, int]:
-        """:meth:`route` with the unique destination-tag hop looked up
-        in the shared route table (deterministic, so trivially
-        bit-identical; valid under faults too — the butterfly has no
-        alternative path to mask, undeliverable pairs are dropped at
+        """The unique destination-tag hop, looked up in the shared route
+        table (valid under faults too — the butterfly has no
+        alternative path to mask; undeliverable pairs are dropped at
         creation)."""
-        table = self._route_table
-        if table is None:
-            return self.route(engine, packet)
         topo = self.topology
         current = engine.router_id
         if topo.stage_of(current) == topo.n - 1:
             return engine.ejection_port(packet.dst), 0
-        return table.destination_tag_next(current, packet.dst), 0
+        return self._route_table.destination_tag_next(current, packet.dst), 0
 
 
 class FoldedClosAdaptive(RoutingAlgorithm):

@@ -13,9 +13,9 @@ folded Clos, so "rack" skew is the same physical skew in all three.
 Determinism: every source here is calendar-driven — shared-RNG draws
 happen only on cycles that emit messages (see the contract in
 :mod:`repro.network.workload`), and epoch-scoped state (the churn
-permutation) is a pure function of a private per-epoch seed — so the
-event and polling kernels remain bit-identical even when the event
-kernel skips quiescent stretches.
+permutation) is a pure function of a private per-epoch seed — so
+results are the same whether or not the kernel skips quiescent
+stretches.
 """
 
 from __future__ import annotations

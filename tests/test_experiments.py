@@ -276,6 +276,18 @@ class TestCLI:
         with pytest.raises(SystemExit):
             main(["fig99"])
 
+    def test_main_rejects_polling_kernel(self, capsys):
+        """The removed polling kernel is refused before anything runs,
+        with a message naming the kernels that exist."""
+        from repro.experiments.__main__ import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fig04", "--kernel", "polling"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "polling" in err
+        assert "event" in err and "batch" in err
+
 
 def test_registry_complete():
     assert set(ALL_EXPERIMENTS) == {

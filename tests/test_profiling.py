@@ -65,7 +65,7 @@ class TestBitIdentical:
 
     # The vectorized batch kernel has no profiled step variant; its
     # observables are covered statistically in tests/test_batch_kernel.py.
-    @pytest.mark.parametrize("kernel", ("event", "polling"))
+    @pytest.mark.parametrize("kernel", ("event",))
     def test_profiled_run_identical(self, kernel):
         sim_off, series_off, res_off = _run(False, kernel=kernel)
         sim_on, series_on, res_on = _run(True, kernel=kernel)

@@ -9,6 +9,7 @@ from repro.network import SimulationConfig, Simulator
 from repro.network.buffers import CHANNEL_PORT, EJECTION_PORT
 from repro.network.injection import BatchInjection
 from repro.network.packet import Flit, Packet
+from repro.network.trace import Tracer
 from repro.traffic import UniformRandom, adversarial
 
 
@@ -68,18 +69,31 @@ class TestConstructionShape:
 
 class TestCreditProtocol:
     def test_overflow_guard(self):
+        """Delivering more flits than a VC has buffer slots (a credit
+        protocol violation) raises instead of overflowing silently."""
         sim = build()
-        engine = sim.engines[0]
-        # Find a channel input and flood it beyond its depth.
-        port = next(
-            p for p, kind in enumerate(engine.in_port_kind) if kind == 0
-        )
-        invc = engine.in_ports[port][0]
+        pipe = sim.pipes[0]
+        invc = sim.engines[pipe.dst_router].in_ports[pipe.dst_in_port][0]
         packet = Packet(0, 0, 1, 0, 1, 0)
-        for _ in range(invc.depth):
-            engine.deliver(port, 0, Flit(packet, True, True))
-        with pytest.raises(AssertionError):
-            engine.deliver(port, 0, Flit(packet, True, True))
+        for _ in range(invc.depth + 1):
+            pipe.flits.append((0, Flit(packet, True, True), 0))
+        sim._wheel[0] = [pipe]
+        with pytest.raises(AssertionError, match="credit protocol violated"):
+            sim._deliver_events(0)
+        assert len(invc.fifo) == invc.depth
+
+    def test_out_of_range_vc_rejected(self):
+        """A routing algorithm choosing a VC the output port does not
+        have is caught at the routing decision."""
+
+        class BadVC(DimensionOrder):
+            def route(self, engine, packet):
+                port, _ = super().route(engine, packet)
+                return port, engine.out_ports[port].num_vcs
+
+        sim = build(algorithm=BadVC(), seed=1)
+        with pytest.raises(AssertionError, match=r"DOR chose vc 1 outside 0\.\.0"):
+            sim.run_open_loop(0.5, warmup=10, measure=10, drain_max=100)
 
     def test_credits_conserved_after_run(self):
         """After a fully drained run, every credit counter is back at
@@ -119,34 +133,37 @@ class TestWormholeOwnership:
             adversarial(),
             SimulationConfig(packet_size=3, seed=5),
         )
-        # Spy on pipe traffic: per (pipe, vc), packet ids must change
-        # only at head flits.  ChannelPipe uses __slots__, so wrap the
-        # method at class level.
-        from repro.network.channel import ChannelPipe
-
+        # Watch pipe traffic at the end of every cycle: per (pipe, vc),
+        # packet ids must change only at head flits.  Channel latency
+        # is at least one cycle, so every flit sits in its pipe at the
+        # end of the cycle it was sent; arrival cycles are unique per
+        # pipe (one flit per cycle), so each flit is seen exactly once.
         violations = []
         state = {}
-        original = ChannelPipe.push_flit
+        seen = {}
 
-        def spy(pipe, flit, vc, arrival):
-            key = (pipe.index, vc)
-            current = state.get(key)
-            if flit.is_head:
-                if current is not None:
-                    violations.append(key)
-                state[key] = flit.packet.pid
-            else:
-                if current != flit.packet.pid:
-                    violations.append(key)
-            if flit.is_tail:
-                state[key] = None
-            original(pipe, flit, vc, arrival)
+        class PipeWatch(Tracer):
+            def on_cycle(self, now):
+                for pipe in sim.pipes:
+                    last = seen.get(pipe.index, -1)
+                    for arrival, flit, vc in pipe.flits:
+                        if arrival <= last:
+                            continue
+                        seen[pipe.index] = arrival
+                        key = (pipe.index, vc)
+                        current = state.get(key)
+                        if flit.is_head:
+                            if current is not None:
+                                violations.append(key)
+                            state[key] = flit.packet.pid
+                        elif current != flit.packet.pid:
+                            violations.append(key)
+                        if flit.is_tail:
+                            state[key] = None
 
-        ChannelPipe.push_flit = spy
-        try:
-            sim.run_batch(4)
-        finally:
-            ChannelPipe.push_flit = original
+        sim.attach_tracer(PipeWatch())
+        sim.run_batch(4)
+        assert seen, "the watch saw no channel traffic"
         assert not violations
         assert sim.packets_delivered == 64
 

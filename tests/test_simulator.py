@@ -117,6 +117,22 @@ class TestMultiFlitPackets:
         assert multi.latency.mean > single.latency.mean
 
 
+class TestFlitPool:
+    def test_ejected_flits_are_reused(self):
+        """Ejected flits go back to a free list and are re-initialized
+        for later injections; every flit ever injected was either
+        freshly allocated or reused."""
+        sim = small_sim(MinimalAdaptive, packet_size=2)
+        result = sim.run_open_loop(0.4, warmup=50, measure=80, drain_max=1500)
+        stats = result.kernel
+        assert stats.flits_reused > 0
+        assert stats.flits_reused > stats.flits_allocated
+        assert (
+            stats.flits_allocated + stats.flits_reused
+            == sim.flits_ejected + sim.flits_accounted()
+        )
+
+
 class TestLatencyAccounting:
     def test_latency_grows_with_load(self):
         lat = []
