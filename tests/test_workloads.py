@@ -2,11 +2,11 @@
 
 Four guarantees pinned here:
 
-* **Bit-identity with the legacy plane.**  ``SyntheticWorkload``
+* **Bit-identity with the legacy plane.**  ``run_open_loop`` over a
+  traffic pattern reproduces the pinned ``SyntheticWorkload``
   (injection process × traffic pattern behind the ``Workload``
-  interface) reproduces ``run_open_loop`` byte-for-byte — same
-  per-cycle ejection series, same results, same final RNG states —
-  over a configuration matrix.
+  interface) runs byte-for-byte — same per-cycle ejection series, same
+  results, same final RNG states — over a configuration matrix.
 * **Closed loops.**  ``RequestReply`` runs request→reply dependencies
   on disjoint VC partitions, terminates cleanly at saturation load
   (protocol deadlock freedom), reproduces its frozen output, and still
@@ -44,7 +44,13 @@ from repro.network import (
     registered_workloads,
 )
 from repro.network.injection import BernoulliInjection
-from tests.test_kernel_fingerprint import DATACENTER, assert_pinned
+from tests.fingerprint import fingerprint
+from tests.test_kernel_fingerprint import (
+    DATACENTER,
+    FINGERPRINTS,
+    _simulate,
+    assert_pinned,
+)
 from repro.traffic import (
     GroupShift,
     HotSpotSkew,
@@ -88,19 +94,16 @@ MATRIX = [
 ]
 
 
-def _legacy_run(kernel, fb, algorithm, pattern, load, packet_size, seed, streams):
-    sim = Simulator(
+def _pattern_run(fb, algorithm, pattern, load, packet_size, seed, streams):
+    """``run_open_loop`` over a bare pattern, observed the way the
+    fingerprint cells observe a run."""
+    return _simulate(
         FlattenedButterfly(*fb),
         ALGORITHMS[algorithm](),
         PATTERNS[pattern](),
         SimulationConfig(seed=seed, packet_size=packet_size, rng_streams=streams),
-        kernel=kernel,
+        lambda sim: sim.run_open_loop(load, warmup=50, measure=80, drain_max=1500),
     )
-    trace = ThroughputTrace(interval=1)
-    sim.attach_tracer(trace)
-    result = sim.run_open_loop(load, warmup=50, measure=80, drain_max=1500)
-    sim.check_activation_invariants()
-    return sim, trace.series, result
 
 
 def _workload_run(kernel, fb, algorithm, pattern, load, packet_size, seed, streams):
@@ -120,9 +123,10 @@ def _workload_run(kernel, fb, algorithm, pattern, load, packet_size, seed, strea
 
 
 class TestSyntheticBitIdentity:
-    """The compatibility guarantee: the reimplemented legacy
-    combination is bit-identical to ``run_open_loop`` — not
-    statistically close, byte-for-byte equal."""
+    """The compatibility guarantee: ``run_open_loop`` over a traffic
+    pattern is byte-for-byte the pinned ``SyntheticWorkload`` run
+    (``synthetic/*`` cells of ``tests/test_kernel_fingerprint.py``) —
+    same per-cycle ejection series, results and final RNG states."""
 
     @pytest.mark.parametrize(
         "fb,algorithm,pattern,load,packet_size,seed,streams",
@@ -136,20 +140,15 @@ class TestSyntheticBitIdentity:
     def test_matrix_point(
         self, kernel, fb, algorithm, pattern, load, packet_size, seed, streams
     ):
-        sim_l, series_l, res_l = _legacy_run(
-            kernel, fb, algorithm, pattern, load, packet_size, seed, streams
+        value = _pattern_run(
+            fb, algorithm, pattern, load, packet_size, seed, streams
         )
-        sim_w, series_w, res_w = _workload_run(
-            kernel, fb, algorithm, pattern, load, packet_size, seed, streams
+        cell = (
+            f"synthetic/{algorithm}-{pattern}-k{fb[0]}-l{load}-p{packet_size}"
+            f"-s{seed}-{streams}"
         )
-        assert series_l == series_w
-        assert res_l == res_w
-        assert res_w.per_class is None  # single class: no per-class slice
-        assert sim_l.packets_created == sim_w.packets_created
-        assert sim_l.flits_ejected == sim_w.flits_ejected
-        assert sim_l.traffic_rng.getstate() == sim_w.traffic_rng.getstate()
-        assert sim_l.route_rng.getstate() == sim_w.route_rng.getstate()
-        assert sim_l.injection_rng.getstate() == sim_w.injection_rng.getstate()
+        assert fingerprint(value) == FINGERPRINTS[cell]
+        assert value[1].per_class is None  # single class: no per-class slice
 
     def test_offered_load_reported(self):
         _, _, result = _workload_run(
