@@ -4,6 +4,11 @@ Open-loop experiments use a Bernoulli process per terminal, as in the
 paper ("Packets are injected using a Bernoulli process", Section 3.2).
 The dynamic-response experiment of Figure 5 instead delivers a fixed
 batch of packets per terminal at time zero and measures drain time.
+
+A process decides only *when* terminals fire; the simulator runs it
+paired with a traffic pattern inside a
+:class:`~repro.network.workload.SyntheticWorkload`, whose
+``next_message_cycle`` delegates to :meth:`InjectionProcess.next_injection_cycle`.
 """
 
 from __future__ import annotations

@@ -21,11 +21,15 @@ capabilities the split plane could not express:
   cycles, so trace replay and epoch-structured datacenter sources
   (incast bursts, permutation churn) slot in naturally.
 
-The legacy combination is reimplemented — not emulated — as
-:class:`SyntheticWorkload`, which drives the *same* injection process
-and pattern objects through the same RNG streams in the same order, so
-a synthetic workload run is bit-identical to the corresponding
-``run_open_loop`` (pinned by ``tests/test_workloads.py``).
+The legacy combination is :class:`SyntheticWorkload`, and it is the
+only way the simulator injects pattern traffic:
+``Simulator.run_open_loop``, ``run_batch`` and
+``measure_saturation_throughput`` each wrap a Bernoulli or batch
+injection process and the simulator's pattern in one and hand it to
+the same driver loop as :meth:`Simulator.run_workload
+<repro.network.Simulator.run_workload>`.  The simulator turns every
+workload's messages into packets in its inject phase, so there is one
+packet-creation path.
 
 Determinism contract for implementers: :meth:`Workload.messages` is
 called once per *executed* cycle, and under the event kernel quiescent
@@ -118,9 +122,8 @@ class Workload(abc.ABC):
         injection_rng: random.Random,
     ) -> None:
         """Reset state for a fresh simulation.  Called exactly once by
-        :meth:`~repro.network.Simulator.run_workload` before the first
-        cycle; the RNGs are the simulator's shared traffic/injection
-        streams."""
+        the simulator's run driver before the first cycle; the RNGs are
+        the simulator's shared traffic/injection streams."""
 
     @abc.abstractmethod
     def messages(self, now: int) -> List[Message]:
@@ -176,12 +179,12 @@ class SyntheticWorkload(Workload):
     decides when terminals fire, a traffic pattern decides where each
     packet goes.
 
-    Bit-identical to driving the same process/pattern through
-    ``run_open_loop``: :meth:`start` performs the identical
-    ``pattern.bind`` + ``process.start`` calls (same injection-RNG
-    draws), and :meth:`messages` draws one destination per injected
-    packet from the traffic RNG in the identical terminal-major order
-    the inlined injection loop used.
+    What the simulator's pattern-based runs drive
+    (``run_open_loop``: :class:`BernoulliInjection`; ``run_batch``:
+    :class:`~repro.network.injection.BatchInjection`).  :meth:`start`
+    binds the pattern and starts the process on the injection RNG;
+    :meth:`messages` draws one destination per injected packet from
+    the traffic RNG, terminal-major in the process's order.
     """
 
     closed_loop = False

@@ -30,7 +30,6 @@ from repro.experiments import ext_resilience
 from repro.faults import FaultModel
 from repro.network import (
     KERNELS,
-    BernoulliInjection,
     SimulationConfig,
     Simulator,
     replica_seeds,
@@ -340,7 +339,7 @@ class TestUnsupportedFeatures:
         # must refuse rather than fall back to another exact kernel.
         sim = self._sim()
         with pytest.raises(NotImplementedError) as exc:
-            sim.step(BernoulliInjection(0.5))
+            sim.step()
         assert "run_open_loop_grid" in str(exc.value)
         assert "kernel='event'" in str(exc.value)
         assert sim.now == 0

@@ -4,11 +4,20 @@ plumbing (env flag, ``profile=`` kwarg, ``KernelStats`` fields, sweep
 aggregation, report formatting) works end to end.
 """
 
+import time
+
 import pytest
 
 from repro.core import MinimalAdaptive, UGAL
 from repro.core.flattened_butterfly import FlattenedButterfly
-from repro.network import KERNELS, SimulationConfig, Simulator, ThroughputTrace
+from repro.network import (
+    KERNELS,
+    Message,
+    SimulationConfig,
+    Simulator,
+    ThroughputTrace,
+    Workload,
+)
 from repro.profiling import (
     PHASES,
     PROFILE_ENV,
@@ -90,6 +99,31 @@ class TestKernelStatsFields:
         assert set(phases) == set(PHASES)
         assert all(seconds >= 0.0 for seconds in phases.values())
         assert sum(phases.values()) > 0.0
+
+    def test_packet_creation_timed_in_inject_phase(self):
+        """A workload's ``messages()`` runs inside the inject phase's
+        timing fence, so slow message generation (trace parsing,
+        datacenter sources) shows up as ``inject`` time."""
+        spin, slow_cycles = 0.02, (5, 10, 15)
+
+        class SlowWorkload(Workload):
+            name = "slow"
+
+            def messages(self, now):
+                if now not in slow_cycles:
+                    return []
+                deadline = time.perf_counter() + spin
+                while time.perf_counter() < deadline:
+                    pass
+                return [Message(0, 5)]
+
+        sim = Simulator(
+            FlattenedButterfly(4, 2), MinimalAdaptive(), SlowWorkload(),
+            SimulationConfig(seed=31), profile=True,
+        )
+        result = sim.run_workload(warmup=10, measure=20, drain_max=500)
+        assert sim.packets_created == len(slow_cycles)
+        assert result.kernel.phase_seconds["inject"] >= spin * len(slow_cycles)
 
     def test_phase_seconds_absent_when_not_profiling(self):
         _, _, result = _run(False)
