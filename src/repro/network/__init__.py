@@ -1,7 +1,6 @@
 """Cycle-accurate flit-level network simulator (Section 3.2's
 methodology)."""
 
-from .allocators import Allocator, GreedyAllocator, SequentialAllocator, make_allocator
 from .batch import BatchBackend, BatchRunResult
 from .config import SimulationConfig, derive_seed, replica_seeds
 from .injection import BatchInjection, BernoulliInjection, InjectionProcess
@@ -33,10 +32,6 @@ from .workload import (
 )
 
 __all__ = [
-    "Allocator",
-    "GreedyAllocator",
-    "SequentialAllocator",
-    "make_allocator",
     "SimulationConfig",
     "derive_seed",
     "replica_seeds",

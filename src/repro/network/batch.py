@@ -1321,7 +1321,7 @@ class BatchBackend:
 
         UGAL-S wraps both steps in the wave-ranked sequential emulation
         (every routed packet debits its channel, matching the event
-        kernel's SequentialAllocator, which records oblivious hops
+        kernel's sequential routing, which debits oblivious hops
         too), so a later same-cycle decision at the same router sees
         the earlier packets' picks."""
         prog = self.program

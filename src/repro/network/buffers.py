@@ -9,8 +9,8 @@ These are the router's flow-control data structures:
   credit-based flow control), the VC-ownership table that keeps
   wormhole packets from interleaving on a virtual channel, and the
   *pending* counters that make committed-but-unsent flits visible to
-  the routing allocators (Section 3.1's greedy vs. sequential
-  distinction).
+  later routing decisions (Section 3.1's greedy vs. sequential
+  allocation, applied in ``RouterEngine.route_switch``).
 
 The output staging FIFOs exist because the paper's routers are
 input-queued *with sufficient switch speedup* so that "routers do not
@@ -117,9 +117,9 @@ class OutPort:
         else:
             self.credits = [vc_depth] * num_vcs
         # Flits committed to this port by a locked route but still
-        # sitting in an input buffer.  Greedy allocators apply the
-        # debit of a routing cycle "en masse" after all inputs decide;
-        # sequential allocators apply it between decisions.
+        # sitting in an input buffer.  A greedy router applies the
+        # debits of a routing cycle "en masse" after all inputs decide;
+        # a sequential router applies each between decisions.
         self.pending = [0] * num_vcs
         # Wormhole ownership: the packet currently streaming into each
         # staging VC (flits of two packets must not interleave on one

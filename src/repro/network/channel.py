@@ -53,18 +53,12 @@ class ChannelPipe:
         self.dst_router = dst_router
         self.src_port = src_port
         self.dst_in_port = dst_in_port
-        # (arrival_cycle, flit/vc) with monotonically non-decreasing
-        # arrival cycles, so delivery pops from the left only.
+        # (arrival_cycle, flit, vc) and (arrival_cycle, vc) with
+        # monotonically non-decreasing arrival cycles, so delivery pops
+        # from the left only.  The router engine appends to these
+        # directly (wire phase: flits; switch moves: credits).
         self.flits: Deque[Tuple[int, Flit, int]] = deque()
         self.credits: Deque[Tuple[int, int]] = deque()
-
-    def push_flit(self, flit: Flit, vc: int, arrival: int) -> None:
-        """Place ``flit`` on the wire, due at ``arrival``."""
-        self.flits.append((arrival, flit, vc))
-
-    def push_credit(self, vc: int, arrival: int) -> None:
-        """Send a credit for ``vc`` back upstream, due at ``arrival``."""
-        self.credits.append((arrival, vc))
 
     def busy(self) -> bool:
         """Whether anything is still in flight on this pipe."""

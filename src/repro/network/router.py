@@ -239,10 +239,13 @@ class RouterEngine:
             rid = self.router_id
             out_ports = self.out_ports
             sim._route_calls += len(pending)
-            # The allocator's pending debits are applied inline:
-            # immediately for a sequential allocator (each decision
-            # sees the previous ones), en masse afterwards for a
-            # greedy one (see repro.network.allocators).
+            # Section 3.1's two allocation policies, as the point at
+            # which a decision's pending-flit debit becomes visible:
+            # a sequential router applies it at once, so each input's
+            # decision sees the previous ones'; a greedy router has
+            # every input decide on the same stale queue state and
+            # applies the debits en masse afterwards (the source of
+            # Figure 5's transient imbalance).
             debits = None if algorithm.sequential else []
             for invc in pending:
                 packet = invc.fifo[0].packet

@@ -1,21 +1,20 @@
 """Tests for simulator primitives: config, packets, buffers, channel
-pipes, allocators, and injection processes."""
+pipes, greedy vs. sequential allocation, and injection processes."""
 
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.network.allocators import (
-    GreedyAllocator,
-    SequentialAllocator,
-    make_allocator,
-)
+from repro.core import DimensionOrder
+from repro.core.flattened_butterfly import FlattenedButterfly
+from repro.network import Simulator
 from repro.network.buffers import CHANNEL_PORT, EJECTION_PORT, InputVC, OutPort
 from repro.network.channel import ChannelPipe
 from repro.network.config import SimulationConfig
 from repro.network.injection import BatchInjection, BernoulliInjection
 from repro.network.packet import Flit, Packet, make_flits
+from repro.traffic import UniformRandom
 
 
 class TestSimulationConfig:
@@ -109,52 +108,70 @@ class TestBuffers:
 
 class TestChannelPipe:
     def test_ordered_delivery(self):
+        """Items go on the pipe's deques the way the router engine puts
+        them there (wire phase: flits, switch moves: credits) and come
+        off in arrival order."""
         pipe = ChannelPipe(0, 0, 1, 0, 0)
-        packet = Packet(0, 0, 1, 0, 1, 0)
-        pipe.push_flit(Flit(packet, True, True), 0, arrival=5)
-        pipe.push_credit(1, arrival=6)
+        assert not pipe.busy()
+        packet = Packet(0, 0, 1, 0, 2, 0)
+        head, tail = Flit(packet, True, False), Flit(packet, False, True)
+        pipe.flits.append((5, head, 0))
+        pipe.flits.append((6, tail, 0))
+        pipe.credits.append((6, 1))
         assert pipe.busy()
-        assert pipe.flits[0][0] == 5
-        assert pipe.credits[0] == (6, 1)
+        assert pipe.flits.popleft() == (5, head, 0)
+        assert pipe.flits.popleft() == (6, tail, 0)
+        assert pipe.busy()
+        assert pipe.credits.popleft() == (6, 1)
+        assert not pipe.busy()
+
+
+class _ObservingDOR(DimensionOrder):
+    """DOR that records, per decision, the pending debit already on
+    the output VC it picks."""
+
+    def __init__(self, sequential):
+        super().__init__()
+        self.sequential = sequential
+        self.seen = []
+
+    def route(self, engine, packet):
+        port, vc = super().route(engine, packet)
+        self.seen.append(engine.out_ports[port].pending[vc])
+        return port, vc
 
 
 class TestAllocators:
-    def _out(self):
-        return OutPort(0, CHANNEL_PORT, num_vcs=1, vc_depth=8, staging_depth=4)
+    """Section 3.1's greedy vs. sequential allocation, as
+    ``RouterEngine.route_switch`` applies it: two heads at one router,
+    routed in the same cycle to the same output VC."""
+
+    def _second_decision_sees(self, sequential):
+        algorithm = _ObservingDOR(sequential)
+        sim = Simulator(FlattenedButterfly(4, 2), algorithm, UniformRandom())
+        engine = sim.engines[0]
+        dst = sim.topology.num_terminals - 1  # a terminal on another router
+        assert sim.topology.ejection_router(dst) != 0
+        for terminal in sim.topology.injecting_terminals(0)[:2]:
+            packet = Packet(terminal, terminal, dst,
+                            sim.topology.ejection_router(dst), 3, 0)
+            invc = sim._injection_invc[terminal]
+            invc.fifo.append(Flit(packet, True, False))
+            engine._unrouted[invc] = None
+            engine.active[invc] = None
+        sim._busy_engines[0] = engine
+        engine.route_switch(0)
+        assert len(algorithm.seen) == 2
+        assert algorithm.seen[0] == 0
+        return algorithm.seen[1]
 
     def test_sequential_applies_immediately(self):
-        alloc = SequentialAllocator()
-        out = self._out()
-        alloc.begin_cycle()
-        alloc.record(out, 0, 1)
-        # Visible before end_cycle: this is the whole point.
-        assert out.pending[0] == 1
-        alloc.end_cycle()
-        assert out.pending[0] == 1
+        # The first decision's 3-flit debit is visible to the second.
+        assert self._second_decision_sees(sequential=True) == 3
 
     def test_greedy_defers_to_end_of_cycle(self):
-        alloc = GreedyAllocator()
-        out = self._out()
-        alloc.begin_cycle()
-        alloc.record(out, 0, 1)
-        alloc.record(out, 0, 2)
-        # Invisible until the routing cycle completes ("en masse").
-        assert out.pending[0] == 0
-        alloc.end_cycle()
-        assert out.pending[0] == 3
-
-    def test_greedy_resets_between_cycles(self):
-        alloc = GreedyAllocator()
-        out = self._out()
-        alloc.begin_cycle()
-        alloc.record(out, 0, 1)
-        alloc.begin_cycle()  # new cycle discards unapplied records
-        alloc.end_cycle()
-        assert out.pending[0] == 0
-
-    def test_factory(self):
-        assert isinstance(make_allocator(True), SequentialAllocator)
-        assert isinstance(make_allocator(False), GreedyAllocator)
+        # Every input decides on the same stale state ("en masse").
+        assert self._second_decision_sees(sequential=False) == 0
 
 
 class TestBernoulliInjection:
