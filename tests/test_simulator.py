@@ -63,6 +63,12 @@ class TestDelivery:
         assert sim.packets_created == sim.packets_delivered == 64
         assert sim.flits_ejected == 64
 
+    def test_batch_cut_off_raises(self):
+        # A batch still in flight at max_cycles is an error, not a
+        # completion time.
+        with pytest.raises(RuntimeError, match="not drained within 5 cycles"):
+            small_sim(MinimalAdaptive).run_batch(8, max_cycles=5)
+
     def test_open_loop_conservation(self):
         sim = small_sim(MinimalAdaptive)
         result = sim.run_open_loop(0.3, warmup=200, measure=200, drain_max=5000)
